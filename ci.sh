@@ -34,6 +34,10 @@ cargo build --release
 echo "==> cargo bench --no-run (smoke-compile the bench targets)"
 cargo bench --no-run
 
+echo "==> perfbench build + tests (the benchmark of record compiles against the crates' APIs)"
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
+cargo test --offline --release --manifest-path perfbench/Cargo.toml
+
 echo "==> ftcg-lint (workspace invariant rules + waiver staleness, blocking)"
 target/release/ftcg-lint
 

@@ -34,7 +34,7 @@ USAGE:
                 [--seed N] [--kernel K] [--threads N] [--trace F] [--metrics F]
   ftcg stats    (--matrix F.mtx | --gen SPEC)
   ftcg campaign (--spec FILE | inline flags) [--out F.jsonl] [--csv F.csv]
-                [--reps N] [--seed N] [--threads N] [--batch N|auto] [--quiet]
+                [--reps N] [--seed N] [--threads N] [--quiet]
                 [--journal F.jsonl] [--resume] [--shard i/k]
                 [--trace F.jsonl] [--metrics F.jsonl]
   ftcg merge    (--spec FILE | inline flags) JOURNAL... [--out F.jsonl]
@@ -79,9 +79,8 @@ CAMPAIGNS:
   spec + seed => byte-identical JSONL/CSV output.
 
   --spec FILE   declarative spec: `key = value` lines or a JSON object
-                (keys: name seed reps threads batch max_iters matrices
-                schemes alphas solvers kernels interval). `-` reads
-                stdin.
+                (keys: name seed reps threads max_iters matrices schemes
+                alphas solvers kernels interval). `-` reads stdin.
   Inline flags instead of a file:
     --gen SPECS --schemes LIST --alphas LIST [--solvers LIST]
     [--kernels LIST] [--interval model|fixed:N] [--name S]
@@ -91,14 +90,6 @@ CAMPAIGNS:
   fault streams, so solver columns are directly comparable. The
   `kernels` axis sweeps SpMV backends the same way; `auto:bench` is
   rejected there because its choice is wall-clock dependent.
-  --batch N|auto  advance up to N repetitions of one configuration in
-                lockstep against a shared matrix image, fusing their
-                SpMVs into one multi-vector traversal (`auto` sizes
-                the width from reps/threads and only fuses matrices
-                whose image spills the cache — small images run
-                faster sequentially). Pure throughput knob: every
-                artifact — summaries, journals, traces — is
-                byte-identical to --batch 1.
   --out F       write JSONL summaries (default: print to stdout)
   --csv F       also write CSV
   --quiet       suppress the progress ticker
@@ -443,7 +434,6 @@ fn campaign_value_flags() -> Vec<&'static str> {
         "--reps",
         "--seed",
         "--threads",
-        "--batch",
         "--out",
         "--csv",
         "--journal",
@@ -462,7 +452,7 @@ fn campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
         if let Some(flag) = GRID_FLAGS.iter().find(|f| args.iter().any(|a| a == *f)) {
             return Err(format!(
                 "{flag} cannot be combined with --spec (edit the spec file instead; \
-                 only --reps/--seed/--threads/--batch override a file)"
+                 only --reps/--seed/--threads override a file)"
             ));
         }
         let text = if path == "-" {
@@ -524,7 +514,6 @@ fn campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
     cs.reps = parse_strict(args, "--reps", cs.reps)?;
     cs.seed = parse_strict(args, "--seed", cs.seed)?;
     cs.threads = parse_strict(args, "--threads", cs.threads)?;
-    cs.batch = parse_strict(args, "--batch", cs.batch)?;
     Ok(cs)
 }
 
@@ -612,7 +601,7 @@ pub fn campaign(args: &[String]) -> i32 {
             progress: if quiet { None } else { Some(&ticker) },
             trace: trace.as_deref(),
             metrics: metrics.as_deref(),
-            batch: cs.batch,
+            ..RunOptions::default()
         };
         let (outcome, folded) =
             run_campaign_sharded(&cs, &PaperMatrixResolver, &opts).map_err(|e| e.to_string())?;

@@ -146,69 +146,41 @@ impl MatrixResolver for DefaultResolver {
     }
 }
 
-/// How many same-configuration repetitions a worker advances in
-/// lockstep through the batched resilient driver
-/// (`ftcg_solvers::solve_resilient_batch`).
+/// The `batch` spec key, retired: every repetition runs as its own job
+/// on the engine's work-stealing pool.
 ///
-/// Batching is a pure throughput knob: every repetition's artifacts —
-/// journal records, trace events, summaries — are bit-identical to
-/// sequential execution whatever the width, so the policy is **not**
-/// part of the campaign fingerprint (like `threads`, it describes how
-/// the work is run, not what the work is).
+/// Repetitions of one configuration used to be advanced as lockstep
+/// lanes sharing one multi-RHS traversal of the matrix. On `paper:341:2`
+/// (6.9 MB image, 8 repetitions, 2 workers) that cost more than it saved:
+/// each lane carried its own corruptible image, checkpoint slot and TMR
+/// shadows (~30 MB per lane, far past the last-level cache a single
+/// solve fits in), lockstep groups of unequal length idled workers, and
+/// solving the same jobs one by one was 26% cheaper per solve (median
+/// of 10 paired benchmark runs) with a memory peak of 132 MB instead of
+/// 605 MB. The key still parses `auto` and `1`, so existing spec files
+/// keep working; wider widths are a spec error. Like `threads`, it is
+/// not part of the campaign fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPolicy {
-    /// Pick a width from the job count, worker count and repetitions —
-    /// wide enough to amortize the matrix traversal, never so wide that
-    /// workers sit idle — then engage it **per configuration** only
-    /// when the matrix image is large enough for the fused traversal to
-    /// pay (see [`BatchPolicy::width_for_matrix`]).
+    /// `batch = auto`, the default.
     Auto,
-    /// A fixed width; `1` is the classic one-repetition-at-a-time path.
-    Fixed(usize),
+    /// `batch = 1`.
+    Sequential,
 }
 
 impl BatchPolicy {
-    /// Image size below which `Auto` declines to fuse. Lockstep lanes
-    /// multiply the live vector working set by the width, so when the
-    /// shared image is cache-resident anyway the fused traversal saves
-    /// nothing and the interleaving costs real time (measured ~25% on
-    /// the Table 1 miniature set, whose images are 0.2–3 MB); the win
-    /// only exists when the image itself spills the last-level cache
-    /// and sequential execution would re-stream it from memory every
-    /// iteration.
-    pub const AUTO_FUSE_MIN_IMAGE_BYTES: usize = 4 << 20;
-
-    /// Resolves the policy to a concrete width *ceiling* for a run of
-    /// `todo` jobs over `threads` workers with `reps` repetitions per
-    /// configuration (a batch can never span configurations, so `reps`
-    /// caps the useful width).
-    pub fn resolve(self, reps: usize, todo: usize, threads: usize) -> usize {
-        match self {
-            BatchPolicy::Fixed(k) => k.max(1),
-            BatchPolicy::Auto => (todo / threads.max(1)).clamp(1, reps.clamp(1, 8)),
-        }
+    /// Repetitions a worker runs per pool job for a run of `todo` jobs
+    /// over `threads` workers with `reps` repetitions per
+    /// configuration: always `1`.
+    pub fn resolve(self, _reps: usize, _todo: usize, _threads: usize) -> usize {
+        1
     }
 
-    /// The width one configuration actually runs at: `Fixed` widths are
-    /// honored as given, while `Auto` falls back to sequential (`1`)
-    /// whenever the matrix image — `nnz` stored entries at one value
-    /// plus one column index each — is small enough to stay
-    /// cache-resident across iterations
-    /// ([`AUTO_FUSE_MIN_IMAGE_BYTES`](Self::AUTO_FUSE_MIN_IMAGE_BYTES)).
-    /// Like the ceiling itself, the choice never reaches an artifact:
-    /// every width produces bit-identical records.
-    pub fn width_for_matrix(self, ceiling: usize, nnz: usize) -> usize {
-        match self {
-            BatchPolicy::Fixed(_) => ceiling,
-            BatchPolicy::Auto => {
-                let image_bytes = nnz.saturating_mul(12);
-                if image_bytes >= Self::AUTO_FUSE_MIN_IMAGE_BYTES {
-                    ceiling
-                } else {
-                    1
-                }
-            }
-        }
+    /// Repetitions per pool job for one configuration whose matrix
+    /// stores `nnz` entries, under a `ceiling` from
+    /// [`resolve`](Self::resolve): always `1`.
+    pub fn width_for_matrix(self, _ceiling: usize, _nnz: usize) -> usize {
+        1
     }
 }
 
@@ -216,7 +188,7 @@ impl std::fmt::Display for BatchPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BatchPolicy::Auto => write!(f, "auto"),
-            BatchPolicy::Fixed(k) => write!(f, "{k}"),
+            BatchPolicy::Sequential => write!(f, "1"),
         }
     }
 }
@@ -229,18 +201,23 @@ impl std::str::FromStr for BatchPolicy {
     }
 }
 
-/// Parses a batch policy: `auto` or a width `N >= 1`.
+/// Parses the `batch` key: `auto` or `1`. Any other width names the
+/// removed lockstep driver and fails with a spec error that says why.
 pub fn parse_batch(s: &str) -> Result<BatchPolicy, EngineError> {
     let s = s.trim();
     if s.eq_ignore_ascii_case("auto") {
         return Ok(BatchPolicy::Auto);
     }
     match s.parse::<usize>() {
-        Ok(0) => Err(EngineError::Spec(format!(
-            "bad batch `{s}`: width must be >= 1 (1 = sequential) or `auto`"
+        Ok(1) => Ok(BatchPolicy::Sequential),
+        Ok(k) => Err(EngineError::Spec(format!(
+            "batch = {k} is not supported: the lockstep batched driver was removed \
+             because its lanes (one matrix image, checkpoint and TMR shadows each) \
+             outgrew the cache and ran slower than one-by-one solves; every \
+             repetition now runs as its own pool job (use `batch = 1` or `auto`, \
+             or drop the key)"
         ))),
-        Ok(k) => Ok(BatchPolicy::Fixed(k)),
-        Err(_) => Err(EngineError::Spec(format!("bad batch `{s}` (auto | N)"))),
+        Err(_) => Err(EngineError::Spec(format!("bad batch `{s}` (auto | 1)"))),
     }
 }
 
@@ -279,8 +256,8 @@ pub struct CampaignSpec {
     pub kernels: Vec<KernelSpec>,
     /// Interval policy.
     pub interval: IntervalPolicy,
-    /// Batched-repetition width (execution knob, not campaign
-    /// identity — excluded from the fingerprint like `threads`).
+    /// The retired `batch` key (see [`BatchPolicy`]); no effect on
+    /// execution or artifacts.
     pub batch: BatchPolicy,
 }
 
@@ -710,47 +687,43 @@ mod tests {
 
     #[test]
     fn batch_key_parses_in_both_formats() {
-        let kv = CampaignSpec::parse("matrices = poisson2d:8\nbatch = 4\n").unwrap();
-        assert_eq!(kv.batch, BatchPolicy::Fixed(4));
         let auto = CampaignSpec::parse("matrices = poisson2d:8\nbatch = auto\n").unwrap();
         assert_eq!(auto.batch, BatchPolicy::Auto);
+        let one = CampaignSpec::parse("matrices = poisson2d:8\nbatch = 1\n").unwrap();
+        assert_eq!(one.batch, BatchPolicy::Sequential);
         let json =
             CampaignSpec::parse(r#"{"matrices": ["poisson2d:8"], "batch": "auto"}"#).unwrap();
         assert_eq!(json.batch, BatchPolicy::Auto);
-        // Default is auto; 0 and junk are spec errors.
+        // Default is auto.
         let plain = CampaignSpec::parse("matrices = poisson2d:8\n").unwrap();
         assert_eq!(plain.batch, BatchPolicy::Auto);
-        assert!(CampaignSpec::parse("matrices = poisson2d:8\nbatch = 0\n").is_err());
-        assert!(CampaignSpec::parse("matrices = poisson2d:8\nbatch = wide\n").is_err());
+        // Lockstep widths name the removed driver; junk is a plain
+        // spec error.
+        for bad in ["8", "0"] {
+            match CampaignSpec::parse(&format!("matrices = poisson2d:8\nbatch = {bad}\n")) {
+                Err(EngineError::Spec(msg)) => {
+                    assert!(msg.contains("lockstep batched driver was removed"), "{msg}")
+                }
+                other => panic!("batch = {bad}: expected a spec error, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            CampaignSpec::parse("matrices = poisson2d:8\nbatch = wide\n"),
+            Err(EngineError::Spec(_))
+        ));
     }
 
     #[test]
     fn batch_policy_resolution() {
-        // Fixed widths pass through (0 clamps to sequential).
-        assert_eq!(BatchPolicy::Fixed(6).resolve(10, 100, 4), 6);
-        assert_eq!(BatchPolicy::Fixed(0).resolve(10, 100, 4), 1);
-        // Auto: amortize across workers, capped by reps and 8.
-        assert_eq!(BatchPolicy::Auto.resolve(100, 64, 4), 8);
-        assert_eq!(BatchPolicy::Auto.resolve(3, 64, 4), 3);
-        assert_eq!(BatchPolicy::Auto.resolve(100, 2, 4), 1);
-        assert_eq!(BatchPolicy::Auto.resolve(100, 0, 0), 1);
-        // Display/FromStr roundtrip (the CLI override path).
-        for p in [BatchPolicy::Auto, BatchPolicy::Fixed(5)] {
+        // Every policy runs one repetition per pool job, whatever the
+        // run shape or matrix size.
+        for p in [BatchPolicy::Auto, BatchPolicy::Sequential] {
+            assert_eq!(p.resolve(100, 64, 4), 1);
+            assert_eq!(p.resolve(100, 0, 0), 1);
+            assert_eq!(p.width_for_matrix(p.resolve(8, 16, 2), usize::MAX), 1);
+            // Display/FromStr roundtrip.
             assert_eq!(p.to_string().parse::<BatchPolicy>().unwrap(), p);
         }
-    }
-
-    #[test]
-    fn auto_batch_only_fuses_memory_bound_images() {
-        let at = BatchPolicy::AUTO_FUSE_MIN_IMAGE_BYTES.div_ceil(12);
-        // Cache-resident images run sequential under auto; images that
-        // spill the cache take the full ceiling.
-        assert_eq!(BatchPolicy::Auto.width_for_matrix(8, at - 1), 1);
-        assert_eq!(BatchPolicy::Auto.width_for_matrix(8, at), 8);
-        assert_eq!(BatchPolicy::Auto.width_for_matrix(8, usize::MAX), 8);
-        // An explicit width is an instruction, not a hint.
-        assert_eq!(BatchPolicy::Fixed(6).width_for_matrix(6, 10), 6);
-        assert_eq!(BatchPolicy::Fixed(1).width_for_matrix(1, usize::MAX), 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! therefore whichever warm workspace) a job lands on. The engine's
 //! determinism tests pin this.
 
-use ftcg_solvers::{BatchWorkspace, SolverWorkspace};
+use ftcg_solvers::SolverWorkspace;
 use ftcg_telemetry::ActiveRecorder;
 
 /// Reusable per-worker memory for the campaign job stream (see the
@@ -24,8 +24,6 @@ use ftcg_telemetry::ActiveRecorder;
 pub struct JobWorkspace {
     solver: SolverWorkspace,
     recorder: Option<ActiveRecorder>,
-    batch: BatchWorkspace,
-    batch_recorders: Vec<ActiveRecorder>,
     worker: u64,
 }
 
@@ -71,27 +69,5 @@ impl JobWorkspace {
             &mut self.solver,
             self.recorder.get_or_insert_with(ActiveRecorder::new),
         )
-    }
-
-    /// The batched-solve arena for
-    /// [`ftcg_solvers::solve_resilient_batch`] (uninstrumented
-    /// campaigns; no recorders are created).
-    pub fn batch_workspace(&mut self) -> &mut BatchWorkspace {
-        &mut self.batch
-    }
-
-    /// The batched arena plus one retained telemetry recorder per lane
-    /// — the shape
-    /// [`ftcg_solvers::solve_resilient_batch_recorded`] wants.
-    /// Recorders are created on first use up to the high-water lane
-    /// count and reused afterwards.
-    pub fn batch_and_recorders(
-        &mut self,
-        k: usize,
-    ) -> (&mut BatchWorkspace, &mut [ActiveRecorder]) {
-        if self.batch_recorders.len() < k {
-            self.batch_recorders.resize_with(k, ActiveRecorder::new);
-        }
-        (&mut self.batch, &mut self.batch_recorders[..k])
     }
 }

@@ -5,17 +5,16 @@
 use ftcg_engine::prelude::*;
 use ftcg_engine::sink;
 
+const SPEC: &str = "name     = itest\n\
+                    seed     = 2026\n\
+                    reps     = 5\n\
+                    threads  = 4\n\
+                    matrices = poisson2d:14\n\
+                    schemes  = detection, correction\n\
+                    alphas   = 0, 1/16\n";
+
 fn spec() -> CampaignSpec {
-    CampaignSpec::parse(
-        "name     = itest\n\
-         seed     = 2026\n\
-         reps     = 5\n\
-         threads  = 4\n\
-         matrices = poisson2d:14\n\
-         schemes  = detection, correction\n\
-         alphas   = 0, 1/16\n",
-    )
-    .expect("spec parses")
+    CampaignSpec::parse(SPEC).expect("spec parses")
 }
 
 #[test]
@@ -33,6 +32,18 @@ fn same_spec_and_seed_is_deterministic() {
         sink::csv_string(&a.summaries),
         sink::csv_string(&b.summaries)
     );
+    // Both values the retired `batch` key still accepts run the same
+    // jobs: `auto` and `1` write byte-identical artifacts.
+    let [auto, one] = ["auto", "1"].map(|batch| {
+        let cs = CampaignSpec::parse(&format!("{SPEC}batch    = {batch}\n")).unwrap();
+        let r = run_campaign(&cs, &DefaultResolver, None).unwrap();
+        (
+            sink::jsonl_string(&r.summaries),
+            sink::csv_string(&r.summaries),
+        )
+    });
+    assert_eq!(auto, one);
+    assert_eq!(auto.0, sink::jsonl_string(&a.summaries));
 }
 
 #[test]

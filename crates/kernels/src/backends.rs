@@ -56,10 +56,6 @@ impl PreparedSpmv for PreparedCsr<'_> {
         self.0.spmv_with_probe_into(x, y)
     }
 
-    fn spmm_with_probe_into(&self, x: &MultiVec, y: &mut MultiVec, probes: &mut [[f64; 2]]) {
-        self.0.spmm_with_probe_into(x, y, probes);
-    }
-
     fn backend(&self) -> String {
         "csr".into()
     }
@@ -381,13 +377,6 @@ mod tests {
     fn every_builtin_probe_is_bit_identical_to_separate_sweeps() {
         let a = gen::random_spd(150, 0.05, 9).unwrap();
         let x: Vec<f64> = (0..150).map(|i| (i as f64 * 0.31).sin() * 2.0).collect();
-        let k = 3usize;
-        let mut xm = MultiVec::zeros(150, k);
-        for c in 0..k {
-            for (i, v) in xm.col_mut(c).iter_mut().enumerate() {
-                *v = ((i + 5 * c) as f64 * 0.17).cos();
-            }
-        }
         let kernels: Vec<Box<dyn SpmvKernel>> = vec![
             Box::new(CsrSerial),
             Box::new(CsrParallel { threads: 3 }),
@@ -415,35 +404,6 @@ mod tests {
             }
             assert_eq!(probe[0].to_bits(), want[0].to_bits(), "{}", kern.name());
             assert_eq!(probe[1].to_bits(), want[1].to_bits(), "{}", kern.name());
-            // Multi-RHS probes vs spmm_into + per-column probe_of.
-            let mut ym_ref = MultiVec::zeros(150, k);
-            p.spmm_into(&xm, &mut ym_ref);
-            let mut ym = MultiVec::zeros(150, k);
-            let mut probes = vec![[9.0; 2]; k];
-            p.spmm_with_probe_into(&xm, &mut ym, &mut probes);
-            for (c, probe) in probes.iter().enumerate() {
-                let want = ftcg_sparse::fused::probe_of(ym_ref.col(c));
-                for i in 0..150 {
-                    assert_eq!(
-                        ym.col(c)[i].to_bits(),
-                        ym_ref.col(c)[i].to_bits(),
-                        "{} col {c} row {i}",
-                        kern.name()
-                    );
-                }
-                assert_eq!(
-                    probe[0].to_bits(),
-                    want[0].to_bits(),
-                    "{} col {c}",
-                    kern.name()
-                );
-                assert_eq!(
-                    probe[1].to_bits(),
-                    want[1].to_bits(),
-                    "{} col {c}",
-                    kern.name()
-                );
-            }
         }
     }
 

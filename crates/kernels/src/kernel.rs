@@ -85,22 +85,6 @@ pub trait PreparedSpmv: Send + Sync {
         ftcg_sparse::fused::probe_of(y)
     }
 
-    /// Multi-RHS product with per-column ABFT probes: `probes[c]`
-    /// receives the probe of output column `c`. Same default/override
-    /// structure as [`PreparedSpmv::spmv_with_probe_into`]; every
-    /// column and probe is bit-identical to [`PreparedSpmv::spmm_into`]
-    /// followed by per-column
-    /// [`probe_of`](ftcg_sparse::fused::probe_of) sweeps.
-    ///
-    /// # Panics
-    /// Panics on the [`PreparedSpmv::spmm_into`] dimension mismatches
-    /// or if `probes.len() != x.k()`.
-    fn spmm_with_probe_into(&self, x: &MultiVec, y: &mut MultiVec, probes: &mut [[f64; 2]]) {
-        assert_eq!(probes.len(), x.k(), "spmm: probe count mismatch");
-        self.spmm_into(x, y);
-        ftcg_sparse::fused::probe_of_cols(y, probes);
-    }
-
     /// The cached balanced row partition, for backends that own one
     /// (the parallel CSR backend computes it once at preparation time).
     /// `None` for serial backends. Callers that want a reusable

@@ -288,7 +288,7 @@ pub fn solver_step_suite(grid: usize, iters: usize, reps: usize) -> Result<Suite
 /// one sample sits far above timer resolution), and the headline is
 /// min-of-`reps`. The fused speedup is reported as a ratio of the two
 /// minima — > 1 means one `spmm_into` traversal beats `k` separate
-/// `spmv_into` calls, which is the whole point of batching.
+/// `spmv_into` calls on the same vectors.
 ///
 /// A `fused` measurement group compares the one-pass hot-path sweeps
 /// against their separate-call compositions: the CG update tail

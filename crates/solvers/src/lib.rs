@@ -45,10 +45,9 @@ pub use machine::{
     CanonVec, IterativeSolver, PlainContext, ProductStatus, SolverKind, StepContext, StepResult,
 };
 pub use pcg::{pcg_jacobi_solve, pcg_jacobi_solve_with, PcgMachine};
-pub use resilient::batch::{solve_resilient_batch, solve_resilient_batch_recorded};
 pub use resilient::{
     solve_resilient, solve_resilient_in, ResilientConfig, ResilientConfigError, ResilientOutcome,
     VerificationScheme,
 };
 pub use stopping::StoppingCriterion;
-pub use workspace::{BatchWorkspace, SolverWorkspace};
+pub use workspace::SolverWorkspace;

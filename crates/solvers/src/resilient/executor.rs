@@ -96,18 +96,6 @@ struct ResilientCtx<'a, V: VerificationScheme, R: Recorder> {
     /// so rollback must restore the full image, not just the values.
     /// Pure detection checks never mutate and leave the flag alone.
     structure_dirty: &'a mut bool,
-    /// Cleared alongside `structure_dirty` whenever a check may have
-    /// rewritten the arrays: the live image can no longer be assumed
-    /// bit-identical to the pristine input, so the batched driver must
-    /// not serve this lane's products from the shared fused traversal.
-    image_clean: &'a mut bool,
-    /// The iteration's first product and its output probe, already
-    /// computed by the batched driver's fused multi-RHS traversal of
-    /// the pristine image (bit-identical to what
-    /// [`DefensiveProduct::product_with_probe`] would compute — only
-    /// offered when `image_clean`). Later products in the same step
-    /// always compute.
-    precomputed_first: Option<(&'a [f64], &'a [f64; 2])>,
     /// Retained buffer for call-time captures of later products.
     xref_scratch: &'a mut XRef,
     /// Product-output faults deferred onto the first product.
@@ -132,19 +120,12 @@ impl<V: VerificationScheme, R: Recorder> StepContext for ResilientCtx<'_, V, R> 
         // run the plain product and let the scheme sweep `y` itself.
         let probe_stale = first && !self.q_faults.is_empty();
         let t_prod = self.rec.start();
-        let mut probe: Option<[f64; 2]> = None;
-        match (first, self.precomputed_first) {
-            (true, Some((pre, p))) => {
-                y.copy_from_slice(pre);
-                if !probe_stale {
-                    probe = Some(*p);
-                }
-            }
-            _ if hardened && !probe_stale => {
-                probe = Some(self.kernel.product_with_probe(self.a, x, y));
-            }
-            _ => self.kernel.product(self.a, x, y),
-        }
+        let probe = if hardened && !probe_stale {
+            Some(self.kernel.product_with_probe(self.a, x, y))
+        } else {
+            self.kernel.product(self.a, x, y);
+            None
+        };
         self.rec.phase(Phase::Product, t_prod);
         if !hardened {
             return ProductStatus::Trusted; // ONLINE: unverified products
@@ -170,7 +151,6 @@ impl<V: VerificationScheme, R: Recorder> StepContext for ResilientCtx<'_, V, R> 
         self.stats.product_checks += 1;
         if check != ProductCheck::Clean && self.scheme.check_may_mutate() {
             *self.structure_dirty = true;
-            *self.image_clean = false;
         }
         let it = self.stats.executed as u64;
         match check {
@@ -220,14 +200,11 @@ impl<V: VerificationScheme, R: Recorder> StepContext for ResilientCtx<'_, V, R> 
     }
 }
 
-/// The protocol loop, restructured as an explicit state machine so one
-/// iteration can be driven from outside: [`ExecutorMachine::new`] +
-/// `while active { begin_iteration(); finish_iteration(None); }` +
-/// [`ExecutorMachine::finish`] is operation-for-operation the historical
-/// `run_executor` loop, and the batched driver interleaves `k` machines
-/// in lockstep, feeding fused product columns (with their output
-/// probes) through `finish_iteration(Some((column, probe)))`.
-pub(super) struct ExecutorMachine<'a, V: VerificationScheme, R: Recorder> {
+/// The protocol state of one resilient solve: [`ExecutorMachine::new`]
+/// is the prologue, each `begin_iteration` + `finish_iteration` pair one
+/// iteration of the loop, [`ExecutorMachine::finish`] the epilogue —
+/// driven by [`run_executor`].
+struct ExecutorMachine<'a, V: VerificationScheme, R: Recorder> {
     a0: &'a CsrMatrix,
     b: &'a [f64],
     cfg: &'a ResilientConfig,
@@ -259,24 +236,13 @@ pub(super) struct ExecutorMachine<'a, V: VerificationScheme, R: Recorder> {
     /// ([`CsrMatrix::copy_values_from`], whose debug-mode pattern check
     /// verifies this very tracking on every test run).
     structure_dirty: bool,
-    /// `true` while the live image is bit-identical to the pristine
-    /// `a0`: cleared by any matrix fault and by mutating product checks,
-    /// restored on rollback iff the restored checkpoint was itself
-    /// taken of a clean image.
-    image_clean: bool,
-    /// Whether the state in the checkpoint slot snapshots a clean image.
-    checkpoint_clean: bool,
-    /// Set on escalation: per the batch-dropout rule an escalated
-    /// repetition leaves the fused traversal for good (it keeps
-    /// iterating in lockstep, computing its products solo).
-    fuse_banned: bool,
 }
 
 impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
     /// Sets up the protocol state exactly as the historical executor
     /// prologue did, same operations in the same order.
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn new(
+    fn new(
         a0: &'a CsrMatrix,
         b: &'a [f64],
         cfg: &'a ResilientConfig,
@@ -340,36 +306,19 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             replica_rot: 0,
             converged,
             structure_dirty: false,
-            image_clean: true,
-            checkpoint_clean: true,
-            fuse_banned: false,
         }
     }
 
     /// `true` while the loop condition of the historical executor holds.
-    pub(super) fn active(&self) -> bool {
+    fn active(&self) -> bool {
         !self.converged
             && self.productive < self.cfg.max_productive_iters
             && self.stats.executed < self.cfg.max_executed_iters
     }
 
-    /// `true` when this iteration's first product may be served from the
-    /// shared fused traversal of the pristine image: the live image is
-    /// bit-identical to `a0` and the repetition has not escalated out of
-    /// the batch.
-    pub(super) fn fusable(&self) -> bool {
-        self.image_clean && !self.fuse_banned
-    }
-
-    /// The post-fault direction vector — the first product's input,
-    /// which the batched driver packs into the fused block.
-    pub(super) fn direction(&self) -> &[f64] {
-        self.solver.vector(CanonVec::Direction)
-    }
-
     /// Phase 1 of an iteration: count it and let this iteration's
     /// faults strike the unreliable region.
-    pub(super) fn begin_iteration(&mut self) {
+    fn begin_iteration(&mut self) {
         self.stats.executed += 1;
         let events = self
             .injector
@@ -442,19 +391,13 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
         }
         if events.iter().any(|e| e.target.is_matrix()) {
             self.kernel.invalidate();
-            self.image_clean = false;
         }
     }
 
     /// Phases 2–5 of an iteration: one verified solver step, the TMR
     /// vote, the chunk-boundary verification, convergence acceptance
-    /// and checkpointing. `precomputed_first`, when given, serves the
-    /// step's first product from a `(column, probe)` pair (only offered
-    /// to [`fusable`] lanes — both are bit-identical to what the lane
-    /// would compute itself).
-    ///
-    /// [`fusable`]: ExecutorMachine::fusable
-    pub(super) fn finish_iteration(&mut self, precomputed_first: Option<(&[f64], &[f64; 2])>) {
+    /// and checkpointing.
+    fn finish_iteration(&mut self) {
         // 2./3. One step, products verified by the scheme. The
         // iteration is charged `1 + Tverif` per product the step
         // actually ran (ABFT schemes; `verified_products` is the
@@ -468,8 +411,6 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
                 scheme: &self.scheme,
                 xref: self.hardened.then_some(&self.arena.xref),
                 structure_dirty: &mut self.structure_dirty,
-                image_clean: &mut self.image_clean,
-                precomputed_first,
                 xref_scratch: &mut self.arena.xref_scratch,
                 q_faults: &self.arena.q_faults,
                 stats: &mut self.stats,
@@ -593,7 +534,6 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
                 self.arena.slot.commit();
                 self.rec.phase(Phase::Checkpoint, t_ckpt);
                 self.structure_dirty = false; // checkpoint == live image again
-                self.checkpoint_clean = self.image_clean;
                 self.stats.checkpoints += 1;
                 self.rec.event(Event::checkpoint(
                     self.stats.executed as u64,
@@ -624,8 +564,6 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             // the discarded checkpoint shared with the live image.
             self.arena.slot.save(&self.arena.initial);
             self.structure_dirty = true;
-            self.checkpoint_clean = true; // snapshots the pristine a0
-            self.fuse_banned = true; // escalated: out of the batch
             self.guard.consecutive_rollbacks = 0;
             self.rec.event(Event::escalate(self.stats.executed as u64));
         }
@@ -641,7 +579,6 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             self.a.copy_values_from(&st.matrix);
         }
         self.structure_dirty = false;
-        self.image_clean = self.checkpoint_clean;
         self.kernel.invalidate(); // rollback replaced the matrix image
         self.solver.restore(st, self.a);
         if self.hardened {
@@ -670,7 +607,7 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
 
     /// Resolves the ledger and assembles the outcome (the historical
     /// epilogue).
-    pub(super) fn finish(self) -> ResilientOutcome {
+    fn finish(self) -> ResilientOutcome {
         let ExecutorMachine {
             a0,
             b,
@@ -726,7 +663,7 @@ pub(super) fn run_executor<V: VerificationScheme, R: Recorder>(
     let mut m = ExecutorMachine::new(a0, b, cfg, injector, scheme, solver, image, arena, rec);
     while m.active() {
         m.begin_iteration();
-        m.finish_iteration(None);
+        m.finish_iteration();
     }
     m.finish()
 }

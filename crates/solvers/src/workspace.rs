@@ -173,58 +173,6 @@ impl SolverWorkspace {
     }
 }
 
-/// Retained memory for a *batched* resilient solve: one
-/// [`SolverWorkspace`] per lane plus the shared multi-RHS blocks the
-/// fused traversal packs directions into.
-///
-/// Like the per-lane workspace, everything is retained at its
-/// high-water mark: re-running a batch of the same shape (or any
-/// smaller one) performs no steady-state allocation — pinned by claim 4
-/// of the allocation gate (`tests/alloc_gate.rs`).
-#[derive(Default)]
-pub struct BatchWorkspace {
-    pub(crate) lanes: Vec<SolverWorkspace>,
-    /// Packed direction columns for the fused product (`n × fused`).
-    pub(crate) xblock: ftcg_sparse::MultiVec,
-    /// Fused product outputs, one column per fused lane.
-    pub(crate) yblock: ftcg_sparse::MultiVec,
-    /// Lane indices iterating this round (retained index scratch).
-    pub(crate) live: Vec<usize>,
-    /// Lane indices served by the fused traversal this round.
-    pub(crate) fused: Vec<usize>,
-    /// Per-fused-column output probes from the fused traversal
-    /// (retained scratch, `fused.len()` entries in use).
-    pub(crate) probes: Vec<[f64; 2]>,
-}
-
-impl std::fmt::Debug for BatchWorkspace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchWorkspace")
-            .field("lanes", &self.lanes.len())
-            .finish()
-    }
-}
-
-impl BatchWorkspace {
-    /// An empty batch workspace; lane workspaces and blocks grow to the
-    /// high-water mark of the batches run through it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of retained lane workspaces.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Grows the lane list to at least `k` workspaces.
-    pub(crate) fn ensure_lanes(&mut self, k: usize) {
-        if self.lanes.len() < k {
-            self.lanes.resize_with(k, SolverWorkspace::new);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! The allocation gate: a counting global allocator proving the
 //! zero-allocation claims of the workspace pipeline.
 //!
-//! Three claims are pinned:
+//! Five claims are pinned:
 //!
 //! 1. a plain CG machine step allocates nothing — the machine owns all
 //!    its vectors and every kernel writes into caller buffers;
@@ -15,18 +15,12 @@
 //!    (phase timers, histograms, the bounded event ring) adds *zero*
 //!    allocations to the warm solve — the `Recorder` contract's
 //!    no-allocation-after-construction clause, enforced;
-//! 4. a steady-state *batched* iteration is allocation-free too: k
-//!    lanes advancing in lockstep through the fused multi-RHS
-//!    traversal draw every buffer (lane arenas, the packed x/y blocks,
-//!    the live/fused lane lists, the per-lane probes) from a warm
-//!    `BatchWorkspace`, so the iteration budget must not change the
-//!    batched allocation count;
-//! 5. the fused one-pass BLAS-1 steps of *every* machine (CG's
+//! 4. the fused one-pass BLAS-1 steps of *every* machine (CG's
 //!    `axpy2_norm2_sq`, PCG's `axpy2_precond_dot`/`xpay_norm2_sq`,
 //!    BiCGStab's fused half-step and direction updates, CGNE's fused
 //!    tail) allocate nothing — the fusion rewrites may not introduce
 //!    temporaries;
-//! 6. the fused product-with-probe verification path (hardened kernel
+//! 5. the fused product-with-probe verification path (hardened kernel
 //!    computes the `[Σyᵢ, Σ(i+1)yᵢ]` probe in-pass, `verify_probed`
 //!    consumes it) is allocation-free at steady state for both ABFT
 //!    schemes — claim 2 pins the detection scheme, and a correction
@@ -44,7 +38,7 @@ use ftcg_kernels::KernelSpec;
 use ftcg_model::Scheme;
 use ftcg_solvers::machine::{PlainContext, SolverKind, StepResult};
 use ftcg_solvers::resilient::{solve_resilient_in, solve_resilient_recorded, ResilientConfig};
-use ftcg_solvers::{solve_resilient_batch, BatchWorkspace, SolverWorkspace, StoppingCriterion};
+use ftcg_solvers::{SolverWorkspace, StoppingCriterion};
 use ftcg_sparse::gen;
 use ftcg_telemetry::ActiveRecorder;
 
@@ -184,30 +178,7 @@ fn steady_state_cg_iterations_allocate_nothing() {
          solve: {long_allocs} allocs un-instrumented vs {recorded_allocs} recorded"
     );
 
-    // Claim 4: steady-state batched iterations are allocation-free. The
-    // fault-free lanes all stay fusable, so the 50 extra lockstep
-    // rounds run through the packed multi-RHS traversal — the exact
-    // path the batched campaign spends its time on.
-    let mut no_faults: Vec<Option<ftcg_fault::Injector>> = (0..4).map(|_| None).collect();
-    let mut bws = BatchWorkspace::new();
-    // Warm the batch arena: first call sizes every lane and block.
-    let warm_batch = solve_resilient_batch(&a, &b, &cfg_for(60), &mut no_faults, &mut bws);
-    assert!(warm_batch.iter().all(|o| o.executed_iterations == 60));
-    let (bshort_allocs, bshort) =
-        count_allocs(|| solve_resilient_batch(&a, &b, &cfg_for(10), &mut no_faults, &mut bws));
-    let (blong_allocs, blong) =
-        count_allocs(|| solve_resilient_batch(&a, &b, &cfg_for(60), &mut no_faults, &mut bws));
-    assert!(bshort.iter().all(|o| o.executed_iterations == 10));
-    assert!(blong.iter().all(|o| o.executed_iterations == 60));
-    assert!(blong.iter().all(|o| o.checkpoints > bshort[0].checkpoints));
-    assert_eq!(
-        blong_allocs, bshort_allocs,
-        "50 extra steady-state batched iterations across 4 lanes must \
-         allocate nothing: {bshort_allocs} allocs at 10 iters vs \
-         {blong_allocs} at 60"
-    );
-
-    // Claim 5: every machine's fused one-pass step is allocation-free,
+    // Claim 4: every machine's fused one-pass step is allocation-free,
     // not just CG's (claim 1). Each kind gets a short warm-up, then a
     // counted run; BiCGStab past convergence may legitimately hit a
     // breakdown exit, so the gate requires a minimum of productive
@@ -248,7 +219,7 @@ fn steady_state_cg_iterations_allocate_nothing() {
         );
     }
 
-    // Claim 6: the correction scheme's fused-probe verification
+    // Claim 5: the correction scheme's fused-probe verification
     // (`ProtectedSpmv::verify_probed` fed by the kernel's in-pass
     // probe) is steady-state allocation-free, same 10-vs-60 technique
     // as claim 2.

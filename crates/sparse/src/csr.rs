@@ -358,50 +358,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Defensive fused multi-RHS product `Y ← A·X` — the batched form of
-    /// [`CsrMatrix::spmv_clamped_into`], applying the same clamping rule
-    /// per entry ([`CsrMatrix::row_range_clamped`] bounds, out-of-range
-    /// columns skipped). On a well-formed matrix each column is
-    /// bit-identical to the clamped single-vector product, which is
-    /// itself bit-identical to the plain one.
-    ///
-    /// # Panics
-    /// Panics if `x.n() != n_cols`, `y.n() != n_rows`, or the column
-    /// counts differ (buffers are caller state, not corruptible matrix
-    /// data).
-    pub fn spmm_clamped_into(&self, x: &MultiVec, y: &mut MultiVec) {
-        assert_eq!(x.n(), self.n_cols, "spmm_clamped: x row count mismatch");
-        assert_eq!(y.n(), self.n_rows, "spmm_clamped: y row count mismatch");
-        assert_eq!(x.k(), y.k(), "spmm_clamped: column count mismatch");
-        let (n, nc, k) = (self.n_rows, self.n_cols, x.k());
-        let (colid, val) = (&self.colid[..], &self.val[..]);
-        let xd = x.data();
-        let yd = y.data_mut();
-        for lo in (0..n).step_by(ROW_BAND) {
-            let hi = (lo + ROW_BAND).min(n);
-            let mut cb = 0;
-            while cb < k {
-                let w = (k - cb).min(RHS_BLOCK);
-                for i in lo..hi {
-                    let mut acc = [0.0f64; RHS_BLOCK];
-                    for kk in self.row_range_clamped(i) {
-                        let j = colid[kk];
-                        if j < nc {
-                            let v = val[kk];
-                            for (c, a) in acc.iter_mut().enumerate().take(w) {
-                                *a += v * xd[(cb + c) * nc + j];
-                            }
-                        }
-                    }
-                    for (c, a) in acc.iter().enumerate().take(w) {
-                        yd[(cb + c) * n + i] = *a;
-                    }
-                }
-                cb += w;
-            }
-        }
-    }
-
     /// `y ← A·x` with the ABFT output probe accumulated in the same
     /// pass: returns `[Σᵢ yᵢ, Σᵢ (i+1)·yᵢ]` (see
     /// [`fused::probe_of`](crate::fused::probe_of)). The product runs
@@ -521,56 +477,6 @@ impl CsrMatrix {
             i += 1;
         }
         [p0, p1]
-    }
-
-    /// Fused multi-RHS product with per-column ABFT probes: `probes[c]`
-    /// receives the probe of output column `c`, accumulated as the
-    /// column's rows are written. The outputs are bit-identical to
-    /// [`CsrMatrix::spmm_into`] and each probe to a separate
-    /// [`fused::probe_of`](crate::fused::probe_of) over that column —
-    /// within every column the traversal finalizes rows in ascending
-    /// index order (row bands outer, ascending; rows inside each band
-    /// ascending), so each column's probe chains accumulate in exactly
-    /// the separate sweep's order.
-    ///
-    /// # Panics
-    /// Panics on the [`CsrMatrix::spmm_into`] dimension mismatches or
-    /// if `probes.len() != x.k()`.
-    pub fn spmm_with_probe_into(&self, x: &MultiVec, y: &mut MultiVec, probes: &mut [[f64; 2]]) {
-        assert_eq!(x.n(), self.n_cols, "spmm: x row count mismatch");
-        assert_eq!(y.n(), self.n_rows, "spmm: y row count mismatch");
-        assert_eq!(x.k(), y.k(), "spmm: column count mismatch");
-        assert_eq!(probes.len(), x.k(), "spmm: probe count mismatch");
-        let (n, nc, k) = (self.n_rows, self.n_cols, x.k());
-        let (colid, val) = (&self.colid[..], &self.val[..]);
-        let xd = x.data();
-        let yd = y.data_mut();
-        for p in probes.iter_mut() {
-            *p = [-0.0, -0.0];
-        }
-        for lo in (0..n).step_by(ROW_BAND) {
-            let hi = (lo + ROW_BAND).min(n);
-            let mut cb = 0;
-            while cb < k {
-                let w = (k - cb).min(RHS_BLOCK);
-                for i in lo..hi {
-                    let mut acc = [0.0f64; RHS_BLOCK];
-                    for kk in self.rowptr[i]..self.rowptr[i + 1] {
-                        let v = val[kk];
-                        let j = colid[kk];
-                        for (c, a) in acc.iter_mut().enumerate().take(w) {
-                            *a += v * xd[(cb + c) * nc + j];
-                        }
-                    }
-                    for (c, a) in acc.iter().enumerate().take(w) {
-                        yd[(cb + c) * n + i] = *a;
-                        probes[cb + c][0] += *a;
-                        probes[cb + c][1] += (i + 1) as f64 * *a;
-                    }
-                }
-                cb += w;
-            }
-        }
     }
 
     /// Storage range of row `i` with the defensive clamping rule: both
@@ -1097,35 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn spmm_with_probe_matches_spmm_and_column_probes() {
-        let m = crate::gen::random_spd(33, 0.2, 31).unwrap();
-        let k = 5;
-        let mut x = MultiVec::zeros(33, k);
-        for c in 0..k {
-            for (i, v) in x.col_mut(c).iter_mut().enumerate() {
-                *v = ((i + 11 * c) as f64 * 0.23).sin();
-            }
-        }
-        let mut y_ref = MultiVec::zeros(33, k);
-        m.spmm_into(&x, &mut y_ref);
-        let mut y = MultiVec::zeros(33, k);
-        let mut probes = vec![[1.0; 2]; k]; // dirty: kernel must reset
-        m.spmm_with_probe_into(&x, &mut y, &mut probes);
-        for (c, probe) in probes.iter().enumerate() {
-            let want = crate::fused::probe_of(y_ref.col(c));
-            for i in 0..33 {
-                assert_eq!(
-                    y.col(c)[i].to_bits(),
-                    y_ref.col(c)[i].to_bits(),
-                    "col {c} row {i}"
-                );
-            }
-            assert_eq!(probe[0].to_bits(), want[0].to_bits(), "col {c} probe[0]");
-            assert_eq!(probe[1].to_bits(), want[1].to_bits(), "col {c} probe[1]");
-        }
-    }
-
-    #[test]
     fn spmv_identity_is_noop() {
         let id = CsrMatrix::identity(4);
         let x = [1.0, -2.0, 3.5, 0.0];
@@ -1403,8 +1280,6 @@ mod tests {
             }
             let mut y = MultiVec::zeros(n, k);
             a.spmm_into(&x, &mut y);
-            let mut yc = MultiVec::zeros(n, k);
-            a.spmm_clamped_into(&x, &mut yc);
             for c in 0..k {
                 let want = a.spmv(x.col(c));
                 assert!(
@@ -1413,38 +1288,7 @@ mod tests {
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
                     "k = {k}, col {c}"
                 );
-                assert!(
-                    want.iter()
-                        .zip(yc.col(c))
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "clamped, k = {k}, col {c}"
-                );
             }
-        }
-    }
-
-    #[test]
-    fn spmm_clamped_matches_per_column_clamped_on_corruption() {
-        let mut a = crate::gen::poisson2d(8).unwrap(); // 64 rows
-        a.rowptr_mut()[5] = usize::MAX;
-        a.colid_mut()[9] = 1 << 33;
-        let k = 3;
-        let mut x = MultiVec::zeros(64, k);
-        for c in 0..k {
-            let xc: Vec<f64> = (0..64)
-                .map(|i| ((i * (c + 2)) as f64 * 0.11).sin())
-                .collect();
-            x.col_mut(c).copy_from_slice(&xc);
-        }
-        let mut y = MultiVec::zeros(64, k);
-        a.spmm_clamped_into(&x, &mut y);
-        for c in 0..k {
-            let mut want = vec![0.0; 64];
-            a.spmv_clamped_into(x.col(c), &mut want);
-            assert!(want
-                .iter()
-                .zip(y.col(c))
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 }

@@ -13,6 +13,12 @@ use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::Result;
 
+/// Most entries the reader reserves room for before reading any: the
+/// size line is untrusted input, so a huge declared count must not
+/// reserve (and abort on) memory the file never fills. Larger matrices
+/// grow their entry vectors as entries arrive.
+const MAX_PREALLOCATED_ENTRIES: usize = 1 << 20;
+
 /// Symmetry qualifier parsed from a MatrixMarket header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MmSymmetry {
@@ -116,17 +122,22 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix> {
         });
     }
     let (n_rows, n_cols, nnz_decl) = (dims[0], dims[1], dims[2]);
+    if n_rows
+        .checked_mul(n_cols)
+        .is_some_and(|cells| nnz_decl > cells)
+    {
+        return Err(SparseError::Parse {
+            line: lineno,
+            detail: format!("declares {nnz_decl} entries for a {n_rows} x {n_cols} matrix"),
+        });
+    }
 
     // --- entries ---
-    let mut coo = CooMatrix::with_capacity(
-        n_rows,
-        n_cols,
-        if symmetry == MmSymmetry::Symmetric {
-            2 * nnz_decl
-        } else {
-            nnz_decl
-        },
-    );
+    let expected = match symmetry {
+        MmSymmetry::Symmetric => nnz_decl.saturating_mul(2),
+        MmSymmetry::General => nnz_decl,
+    };
+    let mut coo = CooMatrix::with_capacity(n_rows, n_cols, expected.min(MAX_PREALLOCATED_ENTRIES));
     let mut seen = 0usize;
     for l in lines {
         lineno += 1;
@@ -160,6 +171,12 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix> {
                     detail: "bad value".into(),
                 })?
         };
+        if !v.is_finite() {
+            return Err(SparseError::Parse {
+                line: lineno,
+                detail: format!("non-finite value {v}"),
+            });
+        }
         if i == 0 || j == 0 || i > n_rows || j > n_cols {
             return Err(SparseError::Parse {
                 line: lineno,
@@ -277,6 +294,46 @@ mod tests {
     fn rejects_out_of_range_coordinate() {
         let s = "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n";
         assert!(read_matrix_market(s.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_values() {
+        for bad in ["nan", "inf", "-inf"] {
+            let s = format!(
+                "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 {bad}\n"
+            );
+            match read_matrix_market(s.as_bytes()) {
+                Err(SparseError::Parse { line: 4, .. }) => {}
+                other => panic!("`{bad}`: expected a parse error at line 4, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_more_entries_than_cells() {
+        let s = "%%MatrixMarket matrix coordinate real general\n2 2 100000000000000\n1 1 1.0\n";
+        assert!(matches!(
+            read_matrix_market(s.as_bytes()),
+            Err(SparseError::Parse { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn huge_declared_count_fails_on_the_count_not_the_allocation() {
+        // Plausible for the dimensions, far beyond what the file holds
+        // (and what memory holds): the reader must not reserve it.
+        for sym in ["general", "symmetric"] {
+            let s = format!(
+                "%%MatrixMarket matrix coordinate real {sym}\n\
+                 100000000 100000000 100000000000000\n1 1 1.0\n"
+            );
+            match read_matrix_market(s.as_bytes()) {
+                Err(SparseError::Parse { detail, .. }) => {
+                    assert!(detail.contains("found 1"), "{sym}: {detail}")
+                }
+                other => panic!("{sym}: expected a count mismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]

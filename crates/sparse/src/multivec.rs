@@ -8,15 +8,12 @@
 //!
 //! ## Determinism contract
 //!
-//! Every batched product over a `MultiVec` ([`crate::CsrMatrix::spmm_into`],
-//! [`crate::CsrMatrix::spmm_clamped_into`], and the SELL/BCSR
-//! equivalents) computes **each column independently, as the exact
-//! floating-point sum the corresponding single-vector `spmv_into`
-//! computes** — same entries, same order, bit for bit. Fusing the
-//! traversal reorders only *memory accesses*, never the per-output
-//! accumulation chain, so a batched solve is observationally identical
-//! to `k` sequential solves. The batched resilient driver in
-//! `ftcg-solvers` leans on exactly this guarantee.
+//! Every multi-RHS product over a `MultiVec` ([`crate::CsrMatrix::spmm_into`]
+//! and the SELL/BCSR equivalents) computes **each column
+//! independently, as the exact floating-point sum the corresponding
+//! single-vector `spmv_into` computes** — same entries, same order, bit
+//! for bit. Fusing the traversal reorders only *memory accesses*, never
+//! the per-output accumulation chain.
 
 /// A dense `n × k` block of `k` column vectors, stored column-major
 /// (`data[c*n + i]` is element `i` of column `c`), so each column is a
@@ -40,9 +37,8 @@ impl MultiVec {
 
     /// Reshapes in place to `n × k`, reusing the allocation when
     /// capacity suffices (no allocation once grown to the high-water
-    /// mark — the batched drivers rely on this for their zero-alloc
-    /// steady state). Existing contents are **unspecified** after a
-    /// reshape; callers overwrite every column they read.
+    /// mark). Existing contents are **unspecified** after a reshape;
+    /// callers overwrite every column they read.
     pub fn reshape(&mut self, n: usize, k: usize) {
         self.data.resize(n * k, 0.0);
         self.n = n;
